@@ -11,53 +11,54 @@
 #define OVC_COMMON_COUNTERS_H_
 
 #include <cstdint>
-#include <string>
 
 namespace ovc {
+
+/// The counter schema: one X(field, help) entry per QueryCounters field.
+/// `field` is the member, the profile JSON key, and (as `query.<field>`) the
+/// process-wide metric SqlSession records; `help` is that metric's help
+/// text. Every counter surface -- Merge/Delta/==, the wire RESULT_DONE
+/// block, the profile JSON, ovcsql `.counters`, the query.* metrics -- is
+/// generated from this list in this order, so adding a counter is one entry
+/// here plus its docs/OBSERVABILITY.md registry row (ovclint OVC-L008/L009).
+///
+///   column_comparisons  the expensive kind the paper bounds by N x K
+///   code_comparisons    whole-code integer compares ("practically free")
+///   row_comparisons     full row compares requested (each may cost several
+///                       column comparisons)
+///   hash_computations   key hashes (hash-based baselines)
+///   rows/bytes_spilled  temporary-storage volume (Figure 6 discussion)
+///   merge_bypass_rows   rows whose code marked them as duplicates of the
+///                       previous winner, skipping merge logic (Section 5)
+///   *_fallbacks         hash operators that overflowed their budget and
+///                       degraded to sort-based processing mid-query
+///   io_retries          transient temp-file failures recovered by retry
+#define OVC_QUERY_COUNTERS(X)                                                \
+  X(column_comparisons, "Column value comparisons across all statements")   \
+  X(code_comparisons,                                                        \
+    "Offset-value code comparisons across all statements")                  \
+  X(row_comparisons, "Row comparisons across all statements")               \
+  X(hash_computations, "Key hash computations across all statements")       \
+  X(rows_spilled, "Rows written to temporary storage")                      \
+  X(bytes_spilled, "Bytes written to temporary storage")                    \
+  X(merge_bypass_rows, "Rows that bypassed merge logic as coded duplicates") \
+  X(hash_join_fallbacks, "Grace hash joins degraded to sort+merge mid-query") \
+  X(hash_agg_fallbacks, "Hash aggregations degraded to in-sort mid-query")  \
+  X(io_retries, "Transient temp-file I/O failures recovered by retry")
 
 /// Work counters threaded through comparators, operators, and storage.
 /// Not thread-safe; each execution thread owns its own instance and parallel
 /// operators (exchange) aggregate at the end.
 struct QueryCounters {
-  /// Individual column-value comparisons (the expensive kind the paper
-  /// bounds by N x K).
-  uint64_t column_comparisons = 0;
-  /// Integer comparisons of whole offset-value codes (the cheap kind;
-  /// "practically free" when folded into validity tests).
-  uint64_t code_comparisons = 0;
-  /// Full row comparisons requested (each may cost several column
-  /// comparisons).
-  uint64_t row_comparisons = 0;
-  /// Hash computations over key columns (hash-based baselines).
-  uint64_t hash_computations = 0;
-  /// Rows written to temporary storage (spill volume, Figure 6 discussion).
-  uint64_t rows_spilled = 0;
-  /// Bytes written to temporary storage.
-  uint64_t bytes_spilled = 0;
-  /// Rows that bypassed merge logic because their code marked them as
-  /// duplicates of the previous winner (Section 5).
-  uint64_t merge_bypass_rows = 0;
-  /// Grace hash joins whose build side overflowed its memory budget and
-  /// degraded to the sort+merge continuation mid-query.
-  uint64_t hash_join_fallbacks = 0;
-  /// Hash aggregations whose group table overflowed and degraded to
-  /// in-sort aggregation mid-query.
-  uint64_t hash_agg_fallbacks = 0;
-  /// Transient temp-file I/O failures recovered by retry-with-backoff.
-  uint64_t io_retries = 0;
+#define OVC_COUNTER_MEMBER(field, help) uint64_t field = 0;
+  OVC_QUERY_COUNTERS(OVC_COUNTER_MEMBER)
+#undef OVC_COUNTER_MEMBER
 
   /// Adds all counts from `other` into this instance.
   void Merge(const QueryCounters& other) {
-    column_comparisons += other.column_comparisons;
-    code_comparisons += other.code_comparisons;
-    row_comparisons += other.row_comparisons;
-    hash_computations += other.hash_computations;
-    rows_spilled += other.rows_spilled;
-    bytes_spilled += other.bytes_spilled;
-    merge_bypass_rows += other.merge_bypass_rows;
-    hash_join_fallbacks += other.hash_join_fallbacks;
-    hash_agg_fallbacks += other.hash_agg_fallbacks;
-    io_retries += other.io_retries;
+#define OVC_COUNTER_MERGE(field, help) field += other.field;
+    OVC_QUERY_COUNTERS(OVC_COUNTER_MERGE)
+#undef OVC_COUNTER_MERGE
   }
 
   /// Resets all counts to zero.
@@ -69,48 +70,35 @@ struct QueryCounters {
   static QueryCounters Delta(const QueryCounters& before,
                              const QueryCounters& after) {
     QueryCounters d;
-    d.column_comparisons = after.column_comparisons - before.column_comparisons;
-    d.code_comparisons = after.code_comparisons - before.code_comparisons;
-    d.row_comparisons = after.row_comparisons - before.row_comparisons;
-    d.hash_computations = after.hash_computations - before.hash_computations;
-    d.rows_spilled = after.rows_spilled - before.rows_spilled;
-    d.bytes_spilled = after.bytes_spilled - before.bytes_spilled;
-    d.merge_bypass_rows = after.merge_bypass_rows - before.merge_bypass_rows;
-    d.hash_join_fallbacks = after.hash_join_fallbacks - before.hash_join_fallbacks;
-    d.hash_agg_fallbacks = after.hash_agg_fallbacks - before.hash_agg_fallbacks;
-    d.io_retries = after.io_retries - before.io_retries;
+#define OVC_COUNTER_DELTA(field, help) d.field = after.field - before.field;
+    OVC_QUERY_COUNTERS(OVC_COUNTER_DELTA)
+#undef OVC_COUNTER_DELTA
     return d;
   }
 
-  /// One-line human-readable summary for examples and benchmarks.
-  std::string ToString() const {
-    return "column_cmp=" + std::to_string(column_comparisons) +
-           " code_cmp=" + std::to_string(code_comparisons) +
-           " row_cmp=" + std::to_string(row_comparisons) +
-           " hash=" + std::to_string(hash_computations) +
-           " rows_spilled=" + std::to_string(rows_spilled) +
-           " bytes_spilled=" + std::to_string(bytes_spilled) +
-           " merge_bypass=" + std::to_string(merge_bypass_rows) +
-           " fallbacks=" +
-           std::to_string(hash_join_fallbacks + hash_agg_fallbacks) +
-           " io_retries=" + std::to_string(io_retries);
-  }
-
   friend bool operator==(const QueryCounters& a, const QueryCounters& b) {
-    return a.column_comparisons == b.column_comparisons &&
-           a.code_comparisons == b.code_comparisons &&
-           a.row_comparisons == b.row_comparisons &&
-           a.hash_computations == b.hash_computations &&
-           a.rows_spilled == b.rows_spilled &&
-           a.bytes_spilled == b.bytes_spilled &&
-           a.merge_bypass_rows == b.merge_bypass_rows &&
-           a.hash_join_fallbacks == b.hash_join_fallbacks &&
-           a.hash_agg_fallbacks == b.hash_agg_fallbacks &&
-           a.io_retries == b.io_retries;
+#define OVC_COUNTER_EQ(field, help) && a.field == b.field
+    return true OVC_QUERY_COUNTERS(OVC_COUNTER_EQ);
+#undef OVC_COUNTER_EQ
   }
   friend bool operator!=(const QueryCounters& a, const QueryCounters& b) {
     return !(a == b);
   }
+};
+
+/// One schema entry as data, for the surfaces that walk every field (wire
+/// codec, profile JSON, ovcsql, metric snapshots): read a field of `c` as
+/// `c.*field.member`.
+struct QueryCounterField {
+  const char* name;
+  const char* help;
+  uint64_t QueryCounters::*member;
+};
+
+inline constexpr QueryCounterField kQueryCounterFields[] = {
+#define OVC_COUNTER_FIELD(field, help) {#field, help, &QueryCounters::field},
+    OVC_QUERY_COUNTERS(OVC_COUNTER_FIELD)
+#undef OVC_COUNTER_FIELD
 };
 
 }  // namespace ovc

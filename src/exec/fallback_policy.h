@@ -29,10 +29,6 @@ enum class FallbackPolicy {
   kSortMerge,
 };
 
-inline const char* FallbackPolicyName(FallbackPolicy policy) {
-  return policy == FallbackPolicy::kSortMerge ? "sort-merge" : "partition";
-}
-
 }  // namespace ovc
 
 #endif  // OVC_EXEC_FALLBACK_POLICY_H_

@@ -55,8 +55,6 @@ enum class CostPolicy : uint8_t {
   kRuleBased,
 };
 
-const char* CostPolicyName(CostPolicy policy);
-
 /// Calibrated per-event work constants, in nanoseconds on the machine that
 /// produced the committed BENCH_PR*.json aggregates. Override through
 /// PlannerOptions::cost_constants; re-derive with bench/run_benches.sh

@@ -76,32 +76,6 @@ TableSource LsmSource(std::string name, LsmForest* forest) {
   return source;
 }
 
-const char* LogicalOpName(LogicalOp op) {
-  switch (op) {
-    case LogicalOp::kScan:
-      return "scan";
-    case LogicalOp::kFilter:
-      return "filter";
-    case LogicalOp::kProject:
-      return "project";
-    case LogicalOp::kJoin:
-      return "join";
-    case LogicalOp::kAggregate:
-      return "aggregate";
-    case LogicalOp::kDistinct:
-      return "distinct";
-    case LogicalOp::kSetOp:
-      return "setop";
-    case LogicalOp::kSort:
-      return "sort";
-    case LogicalOp::kTopK:
-      return "topk";
-    case LogicalOp::kLimit:
-      return "limit";
-  }
-  return "unknown";
-}
-
 PlanBuilder PlanBuilder::Scan(TableSource source) {
   OVC_CHECK(source.schema != nullptr);
   OVC_CHECK(source.factory != nullptr);
@@ -297,48 +271,10 @@ void InferRequirementsRecursive(LogicalNode* node,
   }
 }
 
-void AppendNode(const LogicalNode& node, int depth, std::string* out) {
-  out->append(static_cast<size_t>(depth) * 2, ' ');
-  *out += LogicalOpName(node.op);
-  switch (node.op) {
-    case LogicalOp::kScan:
-      *out += "(" + node.source.name + ", " + node.source.order.ToString() +
-              ")";
-      break;
-    case LogicalOp::kJoin:
-      *out += std::string("(") + JoinTypeName(node.join_type) + ")";
-      break;
-    case LogicalOp::kAggregate:
-      *out += "(group=" + std::to_string(node.group_prefix) +
-              ", aggs=" + std::to_string(node.aggregates.size()) + ")";
-      break;
-    case LogicalOp::kTopK:
-    case LogicalOp::kLimit:
-      *out += "(k=" + std::to_string(node.limit) + ")";
-      break;
-    default:
-      break;
-  }
-  *out += " [" + node.schema.ToString();
-  if (node.required.interested()) {
-    *out += ", wants " + node.required.ToString();
-  }
-  *out += "]\n";
-  for (const auto& child : node.children) {
-    AppendNode(*child, depth + 1, out);
-  }
-}
-
 }  // namespace
 
 void InferOrderRequirements(LogicalNode* root) {
   InferRequirementsRecursive(root, OrderRequirement::None());
-}
-
-std::string LogicalPlanToString(const LogicalNode& root) {
-  std::string out;
-  AppendNode(root, 0, &out);
-  return out;
 }
 
 }  // namespace ovc::plan

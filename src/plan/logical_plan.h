@@ -85,9 +85,6 @@ enum class LogicalOp : uint8_t {
   kLimit,
 };
 
-/// Short lowercase name, e.g. "aggregate".
-const char* LogicalOpName(LogicalOp op);
-
 /// One node of a logical plan tree. Fields beyond `op` / `children` /
 /// `schema` are meaningful only for the matching LogicalOp.
 struct LogicalNode {
@@ -202,10 +199,6 @@ class PlanBuilder {
 /// operations / sorts). The physical planner consults these annotations
 /// when choosing between order-producing and hash-based algorithms.
 void InferOrderRequirements(LogicalNode* root);
-
-/// Multi-line indented rendering of the logical tree with schemas and
-/// interesting-order annotations.
-std::string LogicalPlanToString(const LogicalNode& root);
 
 }  // namespace ovc::plan
 

@@ -73,9 +73,6 @@ class RowBuffer {
   /// Pre-allocates space for `rows` rows.
   void ReserveRows(size_t rows) { data_.reserve(rows * width_); }
 
-  /// Approximate memory footprint in bytes.
-  size_t MemoryBytes() const { return data_.capacity() * sizeof(uint64_t); }
-
  private:
   /// Reserves at least `needed` values, at least doubling capacity and
   /// starting at a few rows so tiny buffers don't reallocate per append.

@@ -41,14 +41,16 @@ constexpr uint64_t kHeaderBytes = 5;
 
 /// One connection's protocol loop: reads request frames off `fd` and
 /// serves them through a private SqlSession over the server's shared
-/// catalog, plan cache, and admission gate.
+/// catalog, plan cache, and admission gate. The session records every
+/// statement (spans, query.* metrics, error conversion); this class only
+/// admits statements and frames their results.
 class ServerSession {
  public:
   ServerSession(Server* server, int fd)
       : server_(server),
         fd_(fd),
         session_(server->catalog(), server->session_options(),
-                 server->temp_root()) {}
+                 server->temp_root(), server->plan_cache()) {}
 
   void Serve() {
     for (;;) {
@@ -68,19 +70,11 @@ class ServerSession {
   }
 
  private:
-  struct PreparedSlot {
-    /// Keeps a cached entry alive (and its logical tree valid) while this
-    /// statement handle references plans pointing into it. Null for
-    /// uncacheable statements (EXPLAIN).
-    std::shared_ptr<PlanCache::Entry> cache_entry;
-    std::unique_ptr<sql::PreparedQuery> prepared;
-  };
-
   /// Dispatches one request frame. False closes the connection.
   bool HandleFrame(const Frame& frame) {
     switch (frame.type) {
       case FrameType::kQuery:
-        return HandleQuery(frame.payload);
+        return RunAdmitted([&] { return session_.Run(frame.payload); });
       case FrameType::kPrepare:
         return HandlePrepare(frame.payload);
       case FrameType::kExecute:
@@ -99,78 +93,46 @@ class ServerSession {
     }
   }
 
-  bool HandleQuery(const std::string& sql) {
-    OVC_TRACE_SPAN_VAR(query_span, "server.query");
-    trace::ScopedQueryId query_scope(query_span.id());
+  /// Runs one QUERY or EXECUTE statement under an admission slot and
+  /// streams its result. `run` is the session call; server.query_latency_us
+  /// gets one sample per statement, failed ones included.
+  template <typename RunFn>
+  bool RunAdmitted(RunFn run) {
+    OVC_TRACE_SPAN("server.query");
     OVC_METRIC_COUNTER("server.queries",
                        "Statements received over QUERY or EXECUTE frames")
         .Increment();
     const uint64_t start_ticks = ProfileTicks();
-
-    PlanCache::Lookup lookup =
-        server_->plan_cache()->GetOrBind(sql, server_->catalog());
-    if (lookup.has_error) {
-      QueryErrors().Increment();
-      return SendError(lookup.error);
-    }
-
-    AdmissionController::Grant grant(admission());
-    if (!grant.ok()) {
-      (void)SendErrorMessage("server is shutting down");
-      return false;
-    }
-
-    std::unique_ptr<sql::PreparedQuery> prepared;
-    if (lookup.entry != nullptr) {
-      // Physical planning annotates the shared logical tree; serialize it
-      // per entry. Execution below runs lock-free against other sessions.
-      MutexLock plan_lock(lookup.entry->plan_mu);
-      prepared = session_.Instantiate(&lookup.entry->bound);
-    } else {
-      sql::SqlResult<std::unique_ptr<sql::PreparedQuery>> result =
-          session_.Prepare(sql);
-      if (!result.ok()) {
-        QueryErrors().Increment();
-        return SendError(result.error());
+    bool keep_open = false;
+    {
+      AdmissionController::Grant grant(server_->admission());
+      if (!grant.ok()) {
+        (void)SendErrorMessage("server is shutting down");
+      } else {
+        keep_open = SendResult(sql::CheckRun(run()));
       }
-      prepared = std::move(result).value();
     }
-
-    const bool sent = RunAndSend(prepared.get());
-    RecordLatency(start_ticks);
-    return sent;
+    OVC_METRIC_HISTOGRAM("server.query_latency_us",
+                         "Served-statement latency, admission wait included")
+        .Record(TicksToNs(ProfileTicks() - start_ticks) / 1000);
+    return keep_open;
   }
 
   bool HandlePrepare(const std::string& sql) {
-    PlanCache::Lookup lookup =
-        server_->plan_cache()->GetOrBind(sql, server_->catalog());
-    if (lookup.has_error) {
+    sql::SqlResult<std::unique_ptr<sql::PreparedQuery>> result =
+        session_.Prepare(sql);
+    if (!result.ok()) {
       QueryErrors().Increment();
-      return SendError(lookup.error);
+      return SendError(result.error());
     }
-    PreparedSlot slot;
-    if (lookup.entry != nullptr) {
-      MutexLock plan_lock(lookup.entry->plan_mu);
-      slot.prepared = session_.Instantiate(&lookup.entry->bound);
-      slot.cache_entry = std::move(lookup.entry);
-    } else {
-      sql::SqlResult<std::unique_ptr<sql::PreparedQuery>> result =
-          session_.Prepare(sql);
-      if (!result.ok()) {
-        QueryErrors().Increment();
-        return SendError(result.error());
-      }
-      slot.prepared = std::move(result).value();
-    }
-
     const uint64_t handle = next_handle_++;
     PayloadWriter reply;
     reply.PutU64(handle);
-    reply.PutU8(lookup.hit ? 1 : 0);
-    const std::vector<std::string>& columns = slot.prepared->columns;
+    reply.PutU8(result.value()->cache_hit ? 1 : 0);
+    const std::vector<std::string>& columns = result.value()->columns;
     reply.PutU32(static_cast<uint32_t>(columns.size()));
     for (const std::string& column : columns) reply.PutString(column);
-    statements_[handle] = std::move(slot);
+    statements_[handle] = std::move(result).value();
     return SendFrame(FrameType::kPrepared, reply.str());
   }
 
@@ -187,21 +149,8 @@ class ServerSession {
       return SendErrorMessage("unknown statement handle " +
                               std::to_string(handle));
     }
-    OVC_TRACE_SPAN_VAR(query_span, "server.query");
-    trace::ScopedQueryId query_scope(query_span.id());
-    OVC_METRIC_COUNTER("server.queries",
-                       "Statements received over QUERY or EXECUTE frames")
-        .Increment();
-    const uint64_t start_ticks = ProfileTicks();
-
-    AdmissionController::Grant grant(admission());
-    if (!grant.ok()) {
-      (void)SendErrorMessage("server is shutting down");
-      return false;
-    }
-    const bool sent = RunAndSend(it->second.prepared.get());
-    RecordLatency(start_ticks);
-    return sent;
+    sql::PreparedQuery* prepared = it->second.get();
+    return RunAdmitted([&] { return session_.Run(prepared); });
   }
 
   bool HandleClose(const std::string& payload) {
@@ -221,16 +170,13 @@ class ServerSession {
     return SendFrame(FrameType::kText, reply.str());
   }
 
-  /// Executes a prepared statement and streams the result frames.
-  bool RunAndSend(sql::PreparedQuery* prepared) {
-    sql::QueryResult result = session_.Run(prepared);
-    if (!result.result.status.ok()) {
+  /// Frames one statement's outcome: an ERROR frame, or the result frames.
+  bool SendResult(const sql::SqlResult<sql::QueryResult>& outcome) {
+    if (!outcome.ok()) {
       QueryErrors().Increment();
-      sql::SqlError error;
-      error.message =
-          "execution failed: " + result.result.status.message();
-      return SendError(error);
+      return SendError(outcome.error());
     }
+    const sql::QueryResult& result = outcome.value();
     if (result.is_explain) {
       PayloadWriter text;
       text.PutString(result.explain_text);
@@ -293,19 +239,11 @@ class ServerSession {
     return SendError(error);
   }
 
-  void RecordLatency(uint64_t start_ticks) {
-    OVC_METRIC_HISTOGRAM("server.query_latency_us",
-                         "Served-statement latency, admission wait included")
-        .Record(TicksToNs(ProfileTicks() - start_ticks) / 1000);
-  }
-
-  AdmissionController* admission() { return server_->admission(); }
-
   Server* server_;
   int fd_;
   sql::SqlSession session_;
   uint64_t next_handle_ = 1;
-  std::map<uint64_t, PreparedSlot> statements_;
+  std::map<uint64_t, std::unique_ptr<sql::PreparedQuery>> statements_;
 };
 
 }  // namespace

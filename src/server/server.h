@@ -5,11 +5,12 @@
 //   Server
 //    |-- listen socket, accept loop (own thread)
 //    |-- shared, immutable Catalog (registered before Start, frozen after)
-//    |-- PlanCache          -- process-wide bound-plan cache
+//    |-- sql::PlanCache     -- process-wide bound-plan cache
 //    |-- AdmissionController -- query-slot gate + sliced planner budgets
 //    |-- TempFileManager     -- root scratch tree
 //    `-- one thread + ServerSession per connection
-//         `-- SqlSession (own counters, own temp sub-manager)
+//         `-- SqlSession (own counters, own temp sub-manager, shared
+//             plan cache; records every statement it runs)
 //
 // Threading model: blocking sockets, thread per connection. A connection
 // thread parses frames, runs at most one statement at a time, and streams
@@ -37,8 +38,8 @@
 #include "common/temp_file.h"
 #include "plan/plan_executor.h"
 #include "server/admission.h"
-#include "server/plan_cache.h"
 #include "sql/catalog.h"
+#include "sql/plan_cache.h"
 
 namespace ovc::server {
 
@@ -84,7 +85,7 @@ class Server {
   /// The bound port (after Start; meaningful with options.port == 0).
   uint16_t port() const { return port_; }
 
-  PlanCache* plan_cache() { return &cache_; }
+  sql::PlanCache* plan_cache() { return &cache_; }
   AdmissionController* admission() { return &admission_; }
   const AdmissionController& admission() const { return admission_; }
   /// The per-query executor options every session runs with (machine
@@ -111,7 +112,7 @@ class Server {
   const ServerOptions options_;
   const plan::PlanExecutor::Options session_options_;
   TempFileManager temp_root_;
-  PlanCache cache_;
+  sql::PlanCache cache_;
   AdmissionController admission_;
 
   int listen_fd_ = -1;

@@ -88,7 +88,8 @@ class PayloadWriter {
   void PutU64(uint64_t v);
   void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
   void PutString(std::string_view s);
-  /// All ten QueryCounters fields, in declaration order.
+  /// Every QueryCounters field as a u64, in schema order
+  /// (OVC_QUERY_COUNTERS).
   void PutCounters(const QueryCounters& c);
 
   const std::string& str() const { return buf_; }

@@ -2,22 +2,6 @@
 
 namespace ovc::sql {
 
-const char* AggKindName(AggKind kind) {
-  switch (kind) {
-    case AggKind::kCount:
-      return "count";
-    case AggKind::kCountDistinct:
-      return "count distinct";
-    case AggKind::kSum:
-      return "sum";
-    case AggKind::kMin:
-      return "min";
-    case AggKind::kMax:
-      return "max";
-  }
-  return "unknown";
-}
-
 const char* CompareOpName(CompareOp op) {
   switch (op) {
     case CompareOp::kEq:

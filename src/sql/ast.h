@@ -41,8 +41,6 @@ struct ColumnRef {
 /// Aggregate functions of the select list.
 enum class AggKind : uint8_t { kCount, kCountDistinct, kSum, kMin, kMax };
 
-const char* AggKindName(AggKind kind);  // "count", "count distinct", ...
-
 /// One select-list entry: a plain column or an aggregate call, with an
 /// optional AS alias.
 struct SelectItem {

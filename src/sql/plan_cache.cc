@@ -1,13 +1,14 @@
-#include "server/plan_cache.h"
+#include "sql/plan_cache.h"
 
 #include <utility>
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
 
-namespace ovc::server {
+namespace ovc::sql {
 
 namespace {
 
@@ -29,11 +30,11 @@ metrics::Counter& CacheEvictions() {
 }  // namespace
 
 bool NormalizeSql(std::string_view sql, std::string* normalized) {
-  sql::SqlResult<std::vector<sql::Token>> tokens = sql::Tokenize(sql);
+  SqlResult<std::vector<Token>> tokens = Tokenize(sql);
   if (!tokens.ok()) return false;
   normalized->clear();
-  for (const sql::Token& token : tokens.value()) {
-    if (token.type == sql::TokenType::kEnd) break;
+  for (const Token& token : tokens.value()) {
+    if (token.type == TokenType::kEnd) break;
     if (!normalized->empty()) normalized->push_back(' ');
     normalized->append(token.normalized);
   }
@@ -44,12 +45,11 @@ PlanCache::PlanCache(size_t capacity, std::string options_fingerprint)
     : capacity_(capacity), options_fingerprint_(std::move(options_fingerprint)) {}
 
 PlanCache::Lookup PlanCache::GetOrBind(std::string_view sql,
-                                       const sql::Catalog* catalog) {
+                                       const Catalog* catalog) {
   Lookup result;
   std::string normalized;
   if (!NormalizeSql(sql, &normalized)) {
     // Does not lex; fall through to Prepare for the real diagnostic.
-    result.cacheable = false;
     return result;
   }
   std::string key = options_fingerprint_;
@@ -68,7 +68,10 @@ PlanCache::Lookup PlanCache::GetOrBind(std::string_view sql,
   }
 
   // Miss: parse + bind under the lock (microseconds; see header).
-  sql::SqlResult<sql::Statement> stmt = sql::ParseStatement(sql);
+  SqlResult<Statement> stmt = [&] {
+    OVC_TRACE_SPAN("sql.parse");
+    return ParseStatement(sql);
+  }();
   if (!stmt.ok()) {
     result.has_error = true;
     result.error = stmt.error();
@@ -77,11 +80,13 @@ PlanCache::Lookup PlanCache::GetOrBind(std::string_view sql,
   if (stmt.value().explain) {
     // EXPLAIN [ANALYZE] output depends on per-execution planner state
     // (profiling); it stays on the uncached Prepare path.
-    result.cacheable = false;
     return result;
   }
-  sql::Binder binder(catalog);
-  sql::SqlResult<sql::BoundQuery> bound = binder.Bind(stmt.value().select);
+  Binder binder(catalog);
+  SqlResult<BoundQuery> bound = [&] {
+    OVC_TRACE_SPAN("sql.bind");
+    return binder.Bind(stmt.value().select);
+  }();
   if (!bound.ok()) {
     result.has_error = true;
     result.error = bound.error();
@@ -116,4 +121,4 @@ size_t PlanCache::size() const {
   return entries_.size();
 }
 
-}  // namespace ovc::server
+}  // namespace ovc::sql

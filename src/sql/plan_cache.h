@@ -1,4 +1,5 @@
-// Process-wide prepared-plan cache for the ovcd server.
+// Process-wide prepared-plan cache, shared by every SqlSession constructed
+// with it (the ovcd server hands one to each connection's session).
 //
 // Caching happens at the *bound* level: an entry owns the BoundQuery
 // (logical plan + output columns) produced by parse + bind, which is the
@@ -8,7 +9,9 @@
 // session's counters and temp-file manager. That split is what lets two
 // clients run the same cached statement concurrently: planning is
 // microseconds, and the resulting PhysicalPlans share nothing mutable but
-// the logical tree they point into.
+// the logical tree they point into. SqlSession::Prepare is the only
+// caller: it runs GetOrBind, instantiates under the entry's plan_mu, and
+// keeps the entry alive in the PreparedQuery it returns.
 //
 // The planner annotates that shared logical tree in place (order
 // requirements), so Instantiate calls against one entry must hold the
@@ -26,8 +29,8 @@
 // Serve), so entries never need invalidation; Clear() exists for tests
 // and for cold-cache benchmarking.
 
-#ifndef OVC_SERVER_PLAN_CACHE_H_
-#define OVC_SERVER_PLAN_CACHE_H_
+#ifndef OVC_SQL_PLAN_CACHE_H_
+#define OVC_SQL_PLAN_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
@@ -41,7 +44,7 @@
 #include "sql/binder.h"
 #include "sql/sql_error.h"
 
-namespace ovc::server {
+namespace ovc::sql {
 
 /// Rewrites `sql` into its cache-key spelling: tokens' normalized forms
 /// (lowercased identifiers, UPPERCASE keywords) joined by single spaces.
@@ -54,7 +57,7 @@ class PlanCache {
   /// One cached statement. Shared out so an entry evicted mid-use stays
   /// alive until every borrowing session drops it.
   struct Entry {
-    sql::BoundQuery bound;
+    BoundQuery bound;
     /// Serializes SqlSession::Instantiate calls over `bound` (physical
     /// planning annotates the shared logical tree in place). Never held
     /// during execution.
@@ -69,16 +72,15 @@ class PlanCache {
 
   struct Lookup {
     /// Set when the statement is cacheable and parse + bind succeeded
-    /// (whether found or just inserted).
+    /// (whether found or just inserted). Null without an error for
+    /// EXPLAIN [ANALYZE] statements and statements that fail to lex: those
+    /// take the uncached prepare path.
     std::shared_ptr<Entry> entry;
     bool hit = false;
-    /// False for EXPLAIN [ANALYZE] statements and statements that fail
-    /// to lex: the caller falls back to SqlSession::Prepare.
-    bool cacheable = true;
     /// Parse / bind failure of a cacheable statement, reported with the
     /// source position; `entry` is null and nothing was cached.
     bool has_error = false;
-    sql::SqlError error;
+    SqlError error;
   };
 
   /// The one cache operation: returns the entry for `sql`, binding and
@@ -86,7 +88,7 @@ class PlanCache {
   /// on a miss. Thread safe; binds run under the cache lock, which is
   /// acceptable because a bind is microseconds against execution times in
   /// the tens of milliseconds.
-  Lookup GetOrBind(std::string_view sql, const sql::Catalog* catalog);
+  Lookup GetOrBind(std::string_view sql, const Catalog* catalog);
 
   /// Drops every entry (borrowed shared_ptrs stay valid). Counters are
   /// not reset.
@@ -121,6 +123,6 @@ class PlanCache {
   std::atomic<uint64_t> evictions_{0};
 };
 
-}  // namespace ovc::server
+}  // namespace ovc::sql
 
-#endif  // OVC_SERVER_PLAN_CACHE_H_
+#endif  // OVC_SQL_PLAN_CACHE_H_

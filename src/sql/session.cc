@@ -1,8 +1,11 @@
 #include "sql/session.h"
 
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/metrics.h"
+#include "common/mutex.h"
 #include "common/profile.h"
 #include "common/trace.h"
 #include "sql/parser.h"
@@ -12,39 +15,21 @@ namespace ovc::sql {
 namespace {
 
 /// Mirrors a statement's counter delta into the process-wide query.*
-/// metrics, one metric per QueryCounters field. ovcsql `.counters`, the
-/// JSON profile, and `.metrics` therefore agree field-for-field.
+/// metrics, one `query.<field>` counter per schema entry. ovcsql
+/// `.counters`, the JSON profile, and `.metrics` therefore agree
+/// field-for-field.
 void RecordQueryMetrics(const QueryCounters& d) {
-  OVC_METRIC_COUNTER("query.column_comparisons",
-                     "Column value comparisons across all statements")
-      .Add(d.column_comparisons);
-  OVC_METRIC_COUNTER("query.code_comparisons",
-                     "Offset-value code comparisons across all statements")
-      .Add(d.code_comparisons);
-  OVC_METRIC_COUNTER("query.row_comparisons",
-                     "Row comparisons across all statements")
-      .Add(d.row_comparisons);
-  OVC_METRIC_COUNTER("query.hash_computations",
-                     "Key hash computations across all statements")
-      .Add(d.hash_computations);
-  OVC_METRIC_COUNTER("query.rows_spilled",
-                     "Rows written to temporary storage")
-      .Add(d.rows_spilled);
-  OVC_METRIC_COUNTER("query.bytes_spilled",
-                     "Bytes written to temporary storage")
-      .Add(d.bytes_spilled);
-  OVC_METRIC_COUNTER("query.merge_bypass_rows",
-                     "Rows that bypassed merge logic as coded duplicates")
-      .Add(d.merge_bypass_rows);
-  OVC_METRIC_COUNTER("query.hash_join_fallbacks",
-                     "Grace hash joins degraded to sort+merge mid-query")
-      .Add(d.hash_join_fallbacks);
-  OVC_METRIC_COUNTER("query.hash_agg_fallbacks",
-                     "Hash aggregations degraded to in-sort mid-query")
-      .Add(d.hash_agg_fallbacks);
-  OVC_METRIC_COUNTER("query.io_retries",
-                     "Transient temp-file I/O failures recovered by retry")
-      .Add(d.io_retries);
+  static const std::vector<metrics::Counter*> counters = [] {
+    std::vector<metrics::Counter*> out;
+    for (const QueryCounterField& field : kQueryCounterFields) {
+      out.push_back(&metrics::MetricRegistry::Instance().GetCounter(
+          std::string("query.") + field.name, field.help));
+    }
+    return out;
+  }();
+  for (size_t i = 0; i < counters.size(); ++i) {
+    counters[i]->Add(d.*kQueryCounterFields[i].member);
+  }
 }
 
 }  // namespace
@@ -53,8 +38,9 @@ SqlSession::SqlSession(const Catalog* catalog, Options options)
     : catalog_(catalog), executor_(&counters_, &temp_, options) {}
 
 SqlSession::SqlSession(const Catalog* catalog, Options options,
-                       TempFileManager* parent_temp)
+                       TempFileManager* parent_temp, PlanCache* cache)
     : catalog_(catalog),
+      cache_(cache),
       temp_(parent_temp),
       executor_(&counters_, &temp_, options) {}
 
@@ -63,7 +49,7 @@ std::unique_ptr<PreparedQuery> SqlSession::Instantiate(BoundQuery* bound) {
   prepared->columns = bound->columns;
   // prepared->bound stays empty: the shared BoundQuery owns the logical
   // tree and the predicates this plan's operators point into; the caller
-  // keeps it alive (the plan cache hands out shared_ptr entries).
+  // keeps it alive (Prepare parks the cache entry in cache_entry).
   {
     OVC_TRACE_SPAN("sql.plan");
     prepared->physical = std::make_unique<plan::PhysicalPlan>(
@@ -74,6 +60,23 @@ std::unique_ptr<PreparedQuery> SqlSession::Instantiate(BoundQuery* bound) {
 
 SqlResult<std::unique_ptr<PreparedQuery>> SqlSession::Prepare(
     std::string_view sql) {
+  if (cache_ != nullptr) {
+    PlanCache::Lookup lookup = cache_->GetOrBind(sql, catalog_);
+    if (lookup.has_error) return lookup.error;
+    if (lookup.entry != nullptr) {
+      std::unique_ptr<PreparedQuery> prepared;
+      {
+        // Physical planning annotates the shared logical tree; serialize
+        // it per entry. Execution runs lock-free against other sessions.
+        MutexLock plan_lock(lookup.entry->plan_mu);
+        prepared = Instantiate(&lookup.entry->bound);
+      }
+      prepared->cache_entry = std::move(lookup.entry);
+      prepared->cache_hit = lookup.hit;
+      return prepared;
+    }
+    // EXPLAIN [ANALYZE] and unlexable text: the uncached path below.
+  }
   SqlResult<Statement> stmt = [&] {
     OVC_TRACE_SPAN("sql.parse");
     return ParseStatement(sql);
@@ -111,6 +114,16 @@ SqlResult<std::string> SqlSession::Explain(std::string_view sql) {
 }
 
 SqlResult<QueryResult> SqlSession::Run(std::string_view sql) {
+  return CheckRun(RunStatement(sql, nullptr));
+}
+
+QueryResult SqlSession::Run(PreparedQuery* prepared) {
+  // Already prepared, so the lifecycle cannot fail before execution.
+  return std::move(RunStatement({}, prepared)).value();
+}
+
+SqlResult<QueryResult> SqlSession::RunStatement(std::string_view sql,
+                                                PreparedQuery* prepared) {
   // The root span for the whole statement lifecycle; every nested span --
   // parse/bind/plan/execute on this thread, exchange producers on worker
   // threads via context handoff -- carries this span's id as its query id.
@@ -120,38 +133,33 @@ SqlResult<QueryResult> SqlSession::Run(std::string_view sql) {
   OVC_METRIC_COUNTER("query.statements",
                      "SQL statements accepted by SqlSession::Run")
       .Increment();
-  auto record_latency = [start_ticks] {
-    OVC_METRIC_HISTOGRAM("query.latency_us",
-                         "End-to-end statement latency (prepare + execute)")
-        .Record(TicksToNs(ProfileTicks() - start_ticks) / 1000);
-  };
 
-  SqlResult<std::unique_ptr<PreparedQuery>> prepared = Prepare(sql);
-  if (!prepared.ok()) {
+  std::unique_ptr<PreparedQuery> fresh;
+  SqlResult<QueryResult> result = [&]() -> SqlResult<QueryResult> {
+    if (prepared == nullptr) {
+      SqlResult<std::unique_ptr<PreparedQuery>> prepare = Prepare(sql);
+      if (!prepare.ok()) return prepare.error();
+      fresh = std::move(prepare).value();
+      prepared = fresh.get();
+    }
+    return Execute(prepared);
+  }();
+
+  OVC_METRIC_HISTOGRAM("query.latency_us",
+                       "Session-side statement latency (prepare + execute)")
+      .Record(TicksToNs(ProfileTicks() - start_ticks) / 1000);
+  if (!result.ok() || !result.value().result.status.ok()) {
     OVC_METRIC_COUNTER("query.errors",
                        "Statements that failed to prepare or execute")
         .Increment();
-    record_latency();
-    return prepared.error();
+  } else {
+    OVC_METRIC_COUNTER("query.rows_out", "Result rows returned to clients")
+        .Add(result.value().result.rows.size());
   }
-  QueryResult result = Run(prepared.value().get());
-  record_latency();
-  // Runtime failures (temp-file I/O that exhausted its retries, spill
-  // errors) surface as a clean SqlError, never as a truncated row set.
-  if (!result.result.status.ok()) {
-    OVC_METRIC_COUNTER("query.errors",
-                       "Statements that failed to prepare or execute")
-        .Increment();
-    SqlError error;
-    error.message = "execution failed: " + result.result.status.message();
-    return error;
-  }
-  OVC_METRIC_COUNTER("query.rows_out", "Result rows returned to clients")
-      .Add(result.result.rows.size());
   return result;
 }
 
-QueryResult SqlSession::Run(PreparedQuery* prepared) {
+QueryResult SqlSession::Execute(PreparedQuery* prepared) {
   QueryResult out;
   out.columns = prepared->columns;
   if (prepared->is_explain) {
@@ -170,10 +178,13 @@ QueryResult SqlSession::Run(PreparedQuery* prepared) {
     out.profile_json = profile->ToJson();
     RecordFeedback(*prepared->physical);
     if (prepared->is_analyze) {
-      // EXPLAIN ANALYZE delivers the annotated plan, not the rows.
+      // EXPLAIN ANALYZE delivers the annotated plan, not the rows; a
+      // runtime failure still fails the statement.
       out.is_explain = true;
       out.explain_text = prepared->physical->ExplainAnalyze();
-      out.result = plan::ExecutionResult();
+      plan::ExecutionResult annotated;
+      annotated.status = out.result.status;
+      out.result = std::move(annotated);
     }
   }
   return out;
@@ -198,6 +209,13 @@ void SqlSession::ApplyFeedbackTo(Catalog* catalog) const {
     entry->source.stats.observed_rows = fb.actual_rows;
     entry->source.stats.feedback_runs += fb.runs;
   }
+}
+
+SqlResult<QueryResult> CheckRun(SqlResult<QueryResult> run) {
+  if (!run.ok() || run.value().result.status.ok()) return run;
+  SqlError error;
+  error.message = "execution failed: " + run.value().result.status.message();
+  return error;
 }
 
 }  // namespace ovc::sql

@@ -4,8 +4,10 @@
 //   SqlSession session(&catalog);
 //   auto result = session.Run("SELECT a, COUNT(*) AS n FROM t GROUP BY a");
 //
-// Prepare parses, binds, and physically plans a statement; Run executes
-// it through PlanExecutor (inheriting its OvcStreamChecker validation);
+// Prepare parses, binds, and physically plans a statement (through a shared
+// PlanCache when the session has one); Run executes it through PlanExecutor
+// (inheriting its OvcStreamChecker validation) and records it -- REPL and
+// served statements alike (docs/SERVING.md, "One statement lifecycle");
 // Explain returns the physical plan rendering -- the text that shows
 // elided sorts, merge-vs-hash choices, and exchange-parallel shapes for a
 // query. All planner behavior is inherited from PlannerOptions: set
@@ -27,6 +29,7 @@
 #include "sql/ast.h"
 #include "sql/binder.h"
 #include "sql/catalog.h"
+#include "sql/plan_cache.h"
 #include "sql/sql_error.h"
 
 namespace ovc::sql {
@@ -47,6 +50,11 @@ struct PreparedQuery {
   BoundQuery bound;
   /// The planner's choice of operators.
   std::unique_ptr<plan::PhysicalPlan> physical;
+  /// Set when prepared through a plan cache: keeps the shared logical tree
+  /// `physical` points into alive (`bound` is empty then).
+  std::shared_ptr<PlanCache::Entry> cache_entry;
+  /// True when `cache_entry` was already cached (no parse or bind ran).
+  bool cache_hit = false;
 
   /// Physical plan rendering (the EXPLAIN text).
   std::string explain_text() const { return physical->ToString(); }
@@ -82,11 +90,13 @@ class SqlSession {
   /// tree, each connection's session gets its own sub-manager, so the
   /// first-error slot (and therefore spill-error reporting) stays
   /// per-session/per-query instead of bleeding through a process-wide
-  /// manager. `parent_temp` must outlive the session.
+  /// manager. `parent_temp` (and `cache`, if any) must outlive the session.
   SqlSession(const Catalog* catalog, Options options,
-             TempFileManager* parent_temp);
+             TempFileManager* parent_temp, PlanCache* cache = nullptr);
 
-  /// Parses, binds, and plans one statement.
+  /// Parses, binds, and plans one statement. With a plan cache, cacheable
+  /// statements are looked up (bound and inserted on a miss) and the
+  /// cached bound plan is instantiated for this session.
   SqlResult<std::unique_ptr<PreparedQuery>> Prepare(std::string_view sql);
 
   /// Plans an already-bound query (e.g. one shared through a server plan
@@ -97,16 +107,18 @@ class SqlSession {
   /// bind entirely. `bound` must outlive the returned query, and because
   /// planning annotates the shared logical tree in place, concurrent
   /// Instantiate calls over the same BoundQuery must be serialized
-  /// externally (the plan cache's per-entry mutex does exactly that).
+  /// externally (Prepare holds the cache entry's plan_mu around it).
   std::unique_ptr<PreparedQuery> Instantiate(BoundQuery* bound);
 
   /// Physical plan text for one statement (EXPLAIN prefix optional).
   SqlResult<std::string> Explain(std::string_view sql);
 
-  /// Prepares and executes one statement.
+  /// Prepares and executes one statement; a runtime failure comes back as
+  /// CheckRun's SqlError.
   SqlResult<QueryResult> Run(std::string_view sql);
 
-  /// Executes an already-prepared statement (again).
+  /// Executes an already-prepared statement (again); a runtime failure
+  /// stays in `result.status`.
   QueryResult Run(PreparedQuery* prepared);
 
   /// Session-wide comparison/spill counters, accumulated across runs.
@@ -132,15 +144,30 @@ class SqlSession {
   void ApplyFeedbackTo(Catalog* catalog) const;
 
  private:
+  /// The statement lifecycle each Run enters exactly once: the root span
+  /// and query id, query.statements, query.latency_us, then query.errors
+  /// or query.rows_out. Prepares `sql` first when `prepared` is null.
+  SqlResult<QueryResult> RunStatement(std::string_view sql,
+                                      PreparedQuery* prepared);
+
+  /// Executes a prepared plan and takes its counter slice and profile.
+  QueryResult Execute(PreparedQuery* prepared);
+
   /// Folds one profiled run's per-scan observations into feedback_.
   void RecordFeedback(const plan::PhysicalPlan& physical);
 
   const Catalog* catalog_;
+  PlanCache* cache_ = nullptr;
   QueryCounters counters_;
   TempFileManager temp_;
   plan::PlanExecutor executor_;
   std::map<std::string, TableFeedback> feedback_;
 };
+
+/// The one place a runtime failure (temp-file I/O that exhausted its
+/// retries, spill errors) becomes the client's "execution failed: ..."
+/// error, never a truncated row set. Prepare errors pass through.
+SqlResult<QueryResult> CheckRun(SqlResult<QueryResult> run);
 
 }  // namespace ovc::sql
 

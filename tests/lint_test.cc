@@ -1,5 +1,5 @@
 // Self-test for tools/lint/ovclint: the fixture mini-trees under
-// tests/lint_fixtures/ pin every rule's behavior (one violation per rule
+// tests/lint_fixtures/ pin every rule's behavior (violations of every rule
 // in dirty/, zero findings in clean/), and the live tree must lint
 // clean so `ctest` and CI's lint job agree.
 
@@ -75,6 +75,10 @@ TEST(LintFixtures, DirtyTreeFlagsEveryRuleExactlyOnce) {
       << Dump(findings);
   EXPECT_EQ(CountRuleInFile(findings, "OVC-L008", "src/exec/bad_metric.cc"), 1)
       << Dump(findings);
+  // Counter schema: an undocumented entry, and a second declaration site.
+  EXPECT_EQ(
+      CountRuleInFile(findings, "OVC-L008", "src/common/bad_counters.h"), 2)
+      << Dump(findings);
   EXPECT_EQ(CountRuleInFile(findings, "OVC-L009", "docs/OBSERVABILITY.md"), 1)
       << Dump(findings);
 
@@ -83,9 +87,10 @@ TEST(LintFixtures, DirtyTreeFlagsEveryRuleExactlyOnce) {
     EXPECT_NE(f.file, "src/sort/suppressed.cc") << FormatFinding(f);
   }
 
-  // Exactly the ten violations above -- nothing extra. In particular the
-  // documented-and-used span in bad_metric.cc stays silent.
-  EXPECT_EQ(findings.size(), 10u) << Dump(findings);
+  // Exactly the twelve violations above -- nothing extra. In particular
+  // the documented-and-used span in bad_metric.cc and the documented
+  // schema entry in bad_counters.h stay silent.
+  EXPECT_EQ(findings.size(), 12u) << Dump(findings);
 }
 
 TEST(LintLiveTree, RepoLintsClean) {

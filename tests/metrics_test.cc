@@ -2,9 +2,9 @@
 // (sharded counters under thread fan-out, histogram percentiles against a
 // known distribution, snapshot round-trips), the per-statement query.*
 // metric deltas agreeing field-for-field with QueryResult::counters_delta,
-// and cross-thread trace spans -- at parallelism 1 and 4 -- nesting every
-// exchange producer under the root statement span with parent durations
-// enclosing child durations.
+// and cross-thread trace spans -- at parallelism 1 and 4, run directly and
+// served by ovcd -- nesting every exchange producer under the statement span
+// with parent durations enclosing child durations.
 
 #include "common/metrics.h"
 
@@ -29,8 +29,10 @@ namespace {
 using metrics::Counter;
 using metrics::Histogram;
 using metrics::MetricRegistry;
+using ovc::testing::ExpectCountersEqual;
 using ovc::testing::JsonReader;
 using ovc::testing::JsonValue;
+using ovc::testing::QueryMetrics;
 using sql::Catalog;
 using sql::QueryResult;
 using sql::SqlSession;
@@ -166,10 +168,10 @@ TEST(MetricRegistry, SnapshotsRoundTrip) {
 
 // ---------------------------------------------------------------------------
 // SQL integration: the query.* metric family and the trace spans, driven
-// through SqlSession at parallelism 1 and 4.
+// through SqlSession (directly and served by ovcd) at parallelism 1 and 4.
 // ---------------------------------------------------------------------------
 
-class QueryObservabilityTest : public ::testing::Test {
+class QueryObservabilityTest : public ::ovc::testing::ServingTest {
  protected:
   void SetUp() override {
     Catalog::GeneratedSpec spec;
@@ -202,52 +204,6 @@ class QueryObservabilityTest : public ::testing::Test {
            "GROUP BY l.orderkey ORDER BY l.orderkey";
   }
 
-  /// The ten query.* counters that mirror QueryCounters, in field order.
-  struct QueryMetricSlice {
-    static QueryMetricSlice Snapshot() {
-      MetricRegistry& r = MetricRegistry::Instance();
-      QueryMetricSlice s;
-      s.c.column_comparisons =
-          r.GetCounter("query.column_comparisons", "").value();
-      s.c.code_comparisons = r.GetCounter("query.code_comparisons", "").value();
-      s.c.row_comparisons = r.GetCounter("query.row_comparisons", "").value();
-      s.c.hash_computations =
-          r.GetCounter("query.hash_computations", "").value();
-      s.c.rows_spilled = r.GetCounter("query.rows_spilled", "").value();
-      s.c.bytes_spilled = r.GetCounter("query.bytes_spilled", "").value();
-      s.c.merge_bypass_rows =
-          r.GetCounter("query.merge_bypass_rows", "").value();
-      s.c.hash_join_fallbacks =
-          r.GetCounter("query.hash_join_fallbacks", "").value();
-      s.c.hash_agg_fallbacks =
-          r.GetCounter("query.hash_agg_fallbacks", "").value();
-      s.c.io_retries = r.GetCounter("query.io_retries", "").value();
-      s.statements = r.GetCounter("query.statements", "").value();
-      s.rows_out = r.GetCounter("query.rows_out", "").value();
-      s.latency_count = r.GetHistogram("query.latency_us", "").count();
-      return s;
-    }
-    QueryCounters c;
-    uint64_t statements = 0;
-    uint64_t rows_out = 0;
-    uint64_t latency_count = 0;
-  };
-
-  static void ExpectCountersEqual(const QueryCounters& a,
-                                  const QueryCounters& b) {
-    EXPECT_EQ(a.column_comparisons, b.column_comparisons);
-    EXPECT_EQ(a.code_comparisons, b.code_comparisons);
-    EXPECT_EQ(a.row_comparisons, b.row_comparisons);
-    EXPECT_EQ(a.hash_computations, b.hash_computations);
-    EXPECT_EQ(a.rows_spilled, b.rows_spilled);
-    EXPECT_EQ(a.bytes_spilled, b.bytes_spilled);
-    EXPECT_EQ(a.merge_bypass_rows, b.merge_bypass_rows);
-    EXPECT_EQ(a.hash_join_fallbacks, b.hash_join_fallbacks);
-    EXPECT_EQ(a.hash_agg_fallbacks, b.hash_agg_fallbacks);
-    EXPECT_EQ(a.io_retries, b.io_retries);
-  }
-
-  Catalog catalog_;
 };
 
 TEST_F(QueryObservabilityTest, MetricDeltasAgreeWithQueryCounters) {
@@ -256,10 +212,10 @@ TEST_F(QueryObservabilityTest, MetricDeltasAgreeWithQueryCounters) {
     SqlSession session(&catalog_, MakeOptions(parallelism));
 
     const QueryCounters session_before = *session.counters();
-    const QueryMetricSlice before = QueryMetricSlice::Snapshot();
+    const QueryMetrics before = QueryMetrics::Now();
     auto result = session.Run(JoinSql());
     ASSERT_TRUE(result.ok()) << result.error().message;
-    const QueryMetricSlice after = QueryMetricSlice::Snapshot();
+    const QueryMetrics after = QueryMetrics::Now();
 
     // One statement, one latency sample, rows_out = materialized rows.
     EXPECT_EQ(after.statements, before.statements + 1);
@@ -271,7 +227,8 @@ TEST_F(QueryObservabilityTest, MetricDeltasAgreeWithQueryCounters) {
     // Three surfaces, one truth: the process-metric delta, the result's
     // counters_delta, and the session counter roll-up are field-for-field
     // identical.
-    const QueryCounters metric_delta = QueryCounters::Delta(before.c, after.c);
+    const QueryCounters metric_delta =
+        QueryCounters::Delta(before.counters, after.counters);
     ExpectCountersEqual(metric_delta, result.value().counters_delta);
     ExpectCountersEqual(
         QueryCounters::Delta(session_before, *session.counters()),
@@ -286,11 +243,10 @@ TEST_F(QueryObservabilityTest, MetricDeltasAgreeWithQueryCounters) {
 
 TEST_F(QueryObservabilityTest, FailedStatementCountsAnError) {
   SqlSession session(&catalog_, MakeOptions(1));
-  MetricRegistry& r = MetricRegistry::Instance();
-  const uint64_t errors_before = r.GetCounter("query.errors", "").value();
+  const QueryMetrics before = QueryMetrics::Now();
   auto result = session.Run("SELECT nope FROM missing_table");
   EXPECT_FALSE(result.ok());
-  EXPECT_EQ(r.GetCounter("query.errors", "").value(), errors_before + 1);
+  EXPECT_EQ(QueryMetrics::Now().errors, before.errors + 1);
 }
 
 // One exported trace event, decoded from the Chrome trace JSON.
@@ -325,20 +281,42 @@ std::vector<TraceEvent> DecodeTrace(const std::string& json) {
 }
 
 TEST_F(QueryObservabilityTest, TraceSpansNestAcrossThreads) {
-  for (uint32_t parallelism : {1u, 4u}) {
-    SCOPED_TRACE("parallelism " + std::to_string(parallelism));
-    SqlSession session(&catalog_, MakeOptions(parallelism));
+  struct Case {
+    bool served;
+    uint32_t parallelism;
+  };
+  for (const Case& c : {Case{false, 1}, Case{false, 4}, Case{true, 1},
+                        Case{true, 4}}) {
+    const bool served = c.served;
+    const uint32_t parallelism = c.parallelism;
+    SCOPED_TRACE(std::string(served ? "served" : "direct") + ", parallelism " +
+                 std::to_string(parallelism));
     if (parallelism > 1) {
       // Guard the premise: this plan actually runs exchange-parallel.
+      SqlSession session(&catalog_, MakeOptions(parallelism));
       auto explain = session.Explain(JoinSql());
       ASSERT_TRUE(explain.ok());
       ASSERT_NE(explain.value().find("merge-exchange"), std::string::npos)
           << explain.value();
     }
-
     trace::Enable();
-    auto result = session.Run(JoinSql());
-    ASSERT_TRUE(result.ok()) << result.error().message;
+    if (served) {
+      server::ServerOptions options;
+      options.max_queries = 1;
+      options.workers_per_query = parallelism;
+      options.executor = MakeOptions(parallelism);
+      StartServer(options);
+      server::Client client = Connect();
+      server::Client::Result result;
+      ASSERT_TRUE(client.Query(JoinSql(), &result).ok());
+      ASSERT_TRUE(result.ok) << result.error_message;
+      client.Disconnect();
+      server_->Stop();  // joins the connection thread, flushing its spans
+    } else {
+      SqlSession session(&catalog_, MakeOptions(parallelism));
+      auto result = session.Run(JoinSql());
+      ASSERT_TRUE(result.ok()) << result.error().message;
+    }
     const std::string json = trace::ExportJson();
     trace::Disable();
 
@@ -364,21 +342,38 @@ TEST_F(QueryObservabilityTest, TraceSpansNestAcrossThreads) {
       if (e.name == "sql.statement") root = &e;
     }
     ASSERT_NE(root, nullptr);
-    EXPECT_EQ(root->parent, 0u);
 
-    // Every non-root span belongs to the root query and, following parent
-    // links, reaches the root -- including spans recorded on producer
-    // threads. Parents strictly enclose children (all workers are joined
-    // before their parent scope closes), so parent duration >= child
-    // duration along every edge.
+    // The statement's ancestors: none when run directly; served, the
+    // server's per-statement span under its per-connection span.
+    std::set<uint64_t> ancestors;
+    std::vector<std::string> ancestor_names;
+    for (uint64_t p = root->parent; p != 0;) {
+      auto it = by_span.find(p);
+      ASSERT_NE(it, by_span.end()) << "dangling parent span id " << p;
+      ancestors.insert(p);
+      ancestor_names.push_back(it->second->name);
+      p = it->second->parent;
+    }
+    if (served) {
+      EXPECT_EQ(ancestor_names, (std::vector<std::string>{
+                                    "server.query", "server.connection"}));
+    } else {
+      EXPECT_TRUE(ancestor_names.empty());
+    }
+
+    // Every other span belongs to the statement's query and, following
+    // parent links, reaches the statement -- including spans recorded on
+    // producer threads. Parents strictly enclose children (all workers
+    // are joined before their parent scope closes), so parent duration >=
+    // child duration along every edge.
     std::set<double> producer_tids;
     int producers = 0;
     for (const TraceEvent& e : events) {
-      if (e.span == root->span) continue;
+      if (e.span == root->span || ancestors.count(e.span)) continue;
       EXPECT_EQ(e.query, root->span) << e.name;
       const TraceEvent* cursor = &e;
       int hops = 0;
-      while (cursor->parent != 0 && hops < 64) {
+      while (cursor != root && cursor->parent != 0 && hops < 64) {
         auto it = by_span.find(cursor->parent);
         ASSERT_NE(it, by_span.end())
             << e.name << ": dangling parent span id " << cursor->parent;

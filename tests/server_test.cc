@@ -2,7 +2,8 @@
 // frames, oversized frames, mid-frame disconnects), shared-plan-cache
 // semantics (hit / miss / eviction / normalization / disabled), prepared
 // statements over the wire, concurrent execution of one cached plan
-// checked row-for-row against a serial oracle, and the single-owner
+// checked row-for-row against a serial oracle, served statements moving the
+// query.* statement metrics exactly like REPL ones, and the single-owner
 // regressions PR 10 fixed: per-session temp-file sub-managers (first-error
 // isolation) and per-query admission slicing of the machine budgets.
 
@@ -16,24 +17,28 @@
 
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
+#include "common/metrics.h"
 #include "common/status.h"
 #include "common/temp_file.h"
 #include "server/admission.h"
 #include "server/client.h"
-#include "server/plan_cache.h"
 #include "server/server.h"
 #include "server/wire.h"
 #include "sql/gen_spec.h"
+#include "sql/plan_cache.h"
 #include "sql/session.h"
 #include "test_util.h"
 
 namespace ovc::server {
 namespace {
 
+using ::ovc::testing::QueryMetrics;
 using ::ovc::testing::RowVec;
-using ::ovc::testing::ToRowVec;
+using sql::NormalizeSql;
+using sql::PlanCache;
 
-class ServerTest : public ::testing::Test {
+class ServerTest : public ::ovc::testing::ServingTest {
  protected:
   void SetUp() override {
     ASSERT_TRUE(sql::RegisterGeneratedFromSpec(
@@ -43,36 +48,6 @@ class ServerTest : public ::testing::Test {
                     &catalog_, "dim(a,p) rows=40 keys=1 distinct=40 seed=9")
                     .ok());
   }
-
-  void TearDown() override {
-    if (server_ != nullptr) server_->Stop();
-  }
-
-  void StartServer(ServerOptions options = ServerOptions()) {
-    server_ = std::make_unique<Server>(&catalog_, options);
-    ASSERT_TRUE(server_->Start().ok());
-    ASSERT_GT(server_->port(), 0);
-  }
-
-  Client Connect() {
-    Client client;
-    const Status status = client.Connect("127.0.0.1", server_->port());
-    EXPECT_TRUE(status.ok()) << status.ToString();
-    return client;
-  }
-
-  /// Serial oracle: the same statement through a direct SqlSession with
-  /// the same per-query options every served session runs under.
-  RowVec Oracle(const std::string& sql) {
-    sql::SqlSession session(&catalog_, server_->session_options());
-    sql::SqlResult<sql::QueryResult> result = session.Run(sql);
-    EXPECT_TRUE(result.ok());
-    if (!result.ok()) return {};
-    return ToRowVec(result.value().result.rows);
-  }
-
-  sql::Catalog catalog_;
-  std::unique_ptr<Server> server_;
 };
 
 // ---------------------------------------------------------------------------
@@ -405,6 +380,93 @@ TEST_F(ServerTest, PrepareReportsSqlErrors) {
   ASSERT_TRUE(client.Prepare("SELECT nope FROM t", &info).ok());
   EXPECT_FALSE(info.ok);
   EXPECT_NE(info.error_message.find("nope"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// One statement lifecycle: served statements are recorded like REPL ones
+// ---------------------------------------------------------------------------
+
+/// Expects exactly one statement since `before`: one latency sample,
+/// `rows` rows out, `errors` errors. query.* is recorded before the reply
+/// is sent, so the client's reply orders it.
+void ExpectOneStatement(const QueryMetrics& before, uint64_t rows,
+                        uint64_t errors) {
+  const QueryMetrics after = QueryMetrics::Now();
+  EXPECT_EQ(after.statements - before.statements, 1u);
+  EXPECT_EQ(after.latency_count - before.latency_count, 1u);
+  EXPECT_EQ(after.rows_out - before.rows_out, rows);
+  EXPECT_EQ(after.errors - before.errors, errors);
+}
+
+TEST_F(ServerTest, ServedStatementsJoinQueryMetrics) {
+  metrics::MetricRegistry& registry = metrics::MetricRegistry::Instance();
+  metrics::Counter& served = registry.GetCounter("server.queries", "");
+  metrics::Histogram& served_latency =
+      registry.GetHistogram("server.query_latency_us", "");
+  const uint64_t served_before = served.value();
+  const uint64_t served_latency_before = served_latency.count();
+  StartServer();
+  const std::string sql = "SELECT a FROM t ORDER BY a";
+  Client client = Connect();
+  Client::Result result;
+
+  for (uint64_t hit : {0u, 1u}) {  // cache miss, then hit
+    const uint64_t hits_before = server_->plan_cache()->hits();
+    const QueryMetrics before = QueryMetrics::Now();
+    ASSERT_TRUE(client.Query(sql, &result).ok());
+    ASSERT_TRUE(result.ok) << result.error_message;
+    EXPECT_EQ(server_->plan_cache()->hits() - hits_before, hit);
+    ExpectOneStatement(before, 200, 0);
+  }
+
+  // PREPARE runs no statement; EXECUTE does.
+  Client::PreparedInfo info;
+  QueryMetrics before = QueryMetrics::Now();
+  ASSERT_TRUE(client.Prepare(sql, &info).ok());
+  ASSERT_TRUE(info.ok) << info.error_message;
+  EXPECT_EQ(QueryMetrics::Now().statements, before.statements);
+  ASSERT_TRUE(client.Execute(info.handle, &result).ok());
+  ASSERT_TRUE(result.ok) << result.error_message;
+  ExpectOneStatement(before, 200, 0);
+
+  // A bind error is a statement that failed: counted, timed, no rows.
+  before = QueryMetrics::Now();
+  ASSERT_TRUE(client.Query("SELECT a FROM nosuch", &result).ok());
+  EXPECT_FALSE(result.ok);
+  ExpectOneStatement(before, 0, 1);
+
+  // server.query_latency_us is recorded after the send: stop the server,
+  // then every served statement, the failed one included, has one sample.
+  server_->Stop();
+  EXPECT_EQ(served.value() - served_before, 4u);
+  EXPECT_EQ(served_latency.count() - served_latency_before, 4u);
+}
+
+TEST_F(ServerTest, ServedRuntimeFailureCountsAnError) {
+#if !OVC_FAILPOINTS_ENABLED
+  GTEST_SKIP() << "failpoints compiled out";
+#endif
+  ServerOptions options;
+  // A 16-row sort workspace per admitted query: the 200-row ORDER BY
+  // spills, and with tempfile.write armed, fails at run time.
+  options.executor.planner.sort_config.memory_rows =
+      16 * options.max_queries;
+  StartServer(options);
+  Client client = Connect();
+  failpoint::Arm("tempfile.write");
+  for (const std::string prefix : {"", "EXPLAIN ANALYZE "}) {
+    SCOPED_TRACE(prefix);
+    Client::Result result;
+    const QueryMetrics before = QueryMetrics::Now();
+    ASSERT_TRUE(
+        client.Query(prefix + "SELECT b, a FROM t ORDER BY b, a", &result)
+            .ok());
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.error_message.find("execution failed"),
+              std::string::npos)
+        << result.error_message;
+    ExpectOneStatement(before, 0, 1);
+  }
 }
 
 // ---------------------------------------------------------------------------

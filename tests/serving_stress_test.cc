@@ -18,7 +18,6 @@
 
 #include "common/counters.h"
 #include "common/failpoint.h"
-#include "common/metrics.h"
 #include "common/mutex.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -30,8 +29,8 @@ namespace ovc::server {
 namespace {
 
 using ::ovc::testing::Canonicalize;
+using ::ovc::testing::QueryMetrics;
 using ::ovc::testing::RowVec;
-using ::ovc::testing::ToRowVec;
 
 #if OVC_FAILPOINTS_ENABLED
 #define SKIP_WITHOUT_FAILPOINTS()
@@ -40,33 +39,7 @@ using ::ovc::testing::ToRowVec;
   GTEST_SKIP() << "failpoints compiled out (NDEBUG without OVC_ENABLE_FAILPOINTS)"
 #endif
 
-/// The ten query.* counter metrics, read as a QueryCounters in field
-/// order. SqlSession::Run mirrors every served statement's delta into
-/// exactly these, so (snapshot after - snapshot before) must equal the
-/// sum of the deltas the clients received in RESULT_DONE frames -- any
-/// difference means one session's work leaked into another's accounting.
-QueryCounters QueryMetricSnapshot() {
-  metrics::MetricRegistry& registry = metrics::MetricRegistry::Instance();
-  QueryCounters c;
-  c.column_comparisons =
-      registry.GetCounter("query.column_comparisons", "").value();
-  c.code_comparisons = registry.GetCounter("query.code_comparisons", "").value();
-  c.row_comparisons = registry.GetCounter("query.row_comparisons", "").value();
-  c.hash_computations =
-      registry.GetCounter("query.hash_computations", "").value();
-  c.rows_spilled = registry.GetCounter("query.rows_spilled", "").value();
-  c.bytes_spilled = registry.GetCounter("query.bytes_spilled", "").value();
-  c.merge_bypass_rows =
-      registry.GetCounter("query.merge_bypass_rows", "").value();
-  c.hash_join_fallbacks =
-      registry.GetCounter("query.hash_join_fallbacks", "").value();
-  c.hash_agg_fallbacks =
-      registry.GetCounter("query.hash_agg_fallbacks", "").value();
-  c.io_retries = registry.GetCounter("query.io_retries", "").value();
-  return c;
-}
-
-class ServingStressTest : public ::testing::Test {
+class ServingStressTest : public ::ovc::testing::ServingTest {
  protected:
   void SetUp() override {
     ASSERT_TRUE(
@@ -85,33 +58,6 @@ class ServingStressTest : public ::testing::Test {
             "sorted_t(k,v) rows=10000 keys=2 distinct=200 seed=33 sorted")
             .ok());
   }
-
-  void TearDown() override {
-    failpoint::DisarmAll();
-    if (server_ != nullptr) server_->Stop();
-  }
-
-  void StartServer(ServerOptions options) {
-    server_ = std::make_unique<Server>(&catalog_, options);
-    ASSERT_TRUE(server_->Start().ok());
-  }
-
-  Client Connect() {
-    Client client;
-    EXPECT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
-    return client;
-  }
-
-  RowVec Oracle(const std::string& sql) {
-    sql::SqlSession session(&catalog_, server_->session_options());
-    sql::SqlResult<sql::QueryResult> result = session.Run(sql);
-    EXPECT_TRUE(result.ok());
-    if (!result.ok()) return {};
-    return ToRowVec(result.value().result.rows);
-  }
-
-  sql::Catalog catalog_;
-  std::unique_ptr<Server> server_;
 };
 
 TEST_F(ServingStressTest, MixedWorkloadCorrectWithZeroCounterBleed) {
@@ -137,7 +83,7 @@ TEST_F(ServingStressTest, MixedWorkloadCorrectWithZeroCounterBleed) {
 
   // Snapshot AFTER the oracle runs: they go through the same SqlSession
   // machinery and move the query.* metrics too.
-  const QueryCounters before = QueryMetricSnapshot();
+  const QueryCounters before = QueryMetrics::Now().counters;
 
   constexpr int kClients = 8;
   constexpr int kIterations = 6;
@@ -172,7 +118,8 @@ TEST_F(ServingStressTest, MixedWorkloadCorrectWithZeroCounterBleed) {
 
   // Zero cross-session bleed: what the clients were told they consumed is
   // exactly what the process-wide accounting moved by.
-  const QueryCounters delta = QueryCounters::Delta(before, QueryMetricSnapshot());
+  const QueryCounters delta =
+      QueryCounters::Delta(before, QueryMetrics::Now().counters);
   EXPECT_TRUE(delta == wire_sum)
       << "wire-reported counter sum diverged from the query.* metric delta";
 

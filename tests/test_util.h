@@ -1,5 +1,6 @@
-// Shared helpers for the test suite: naive reference implementations and
-// checker-driven stream validation.
+// Shared helpers for the test suite: naive reference implementations,
+// checker-driven stream validation, query.* metric read-back, and a live
+// server fixture.
 
 #ifndef OVC_TESTS_TEST_UTIL_H_
 #define OVC_TESTS_TEST_UTIL_H_
@@ -8,18 +9,25 @@
 #include <cctype>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/counters.h"
+#include "common/failpoint.h"
+#include "common/metrics.h"
 #include "core/ovc_checker.h"
 #include "exec/operator.h"
 #include "row/comparator.h"
 #include "row/generator.h"
 #include "row/row_buffer.h"
 #include "row/schema.h"
+#include "server/client.h"
+#include "server/server.h"
 #include "sort/run.h"
+#include "sql/session.h"
 
 namespace ovc::testing {
 
@@ -112,6 +120,74 @@ inline void AppendRows(RowBuffer* buffer,
     buffer->AppendRow(r.data());
   }
 }
+
+/// The process-wide query.* metrics: the statement-level ones plus every
+/// counter-schema field read back as a QueryCounters. Metrics are
+/// process-global, so tests compare two snapshots.
+struct QueryMetrics {
+  uint64_t statements = 0;
+  uint64_t latency_count = 0;
+  uint64_t rows_out = 0;
+  uint64_t errors = 0;
+  QueryCounters counters;
+
+  static QueryMetrics Now() {
+    metrics::MetricRegistry& r = metrics::MetricRegistry::Instance();
+    QueryMetrics m;
+    m.statements = r.GetCounter("query.statements", "").value();
+    m.latency_count = r.GetHistogram("query.latency_us", "").count();
+    m.rows_out = r.GetCounter("query.rows_out", "").value();
+    m.errors = r.GetCounter("query.errors", "").value();
+    for (const QueryCounterField& field : kQueryCounterFields) {
+      m.counters.*field.member =
+          r.GetCounter(std::string("query.") + field.name, "").value();
+    }
+    return m;
+  }
+};
+
+/// Field-by-field equality that names the differing field on failure.
+inline void ExpectCountersEqual(const QueryCounters& a,
+                                const QueryCounters& b) {
+  for (const QueryCounterField& field : kQueryCounterFields) {
+    EXPECT_EQ(a.*field.member, b.*field.member) << field.name;
+  }
+}
+
+/// A live ovcd server over `catalog_` (the subclass's SetUp registers the
+/// tables), its clients, and a serial oracle: the statement through a
+/// direct SqlSession under the per-query options every served session gets.
+class ServingTest : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    failpoint::DisarmAll();
+    if (server_ != nullptr) server_->Stop();
+  }
+
+  void StartServer(server::ServerOptions options = server::ServerOptions()) {
+    server_ = std::make_unique<server::Server>(&catalog_, options);
+    ASSERT_TRUE(server_->Start().ok());
+    ASSERT_GT(server_->port(), 0);
+  }
+
+  server::Client Connect() {
+    server::Client client;
+    const Status status = client.Connect("127.0.0.1", server_->port());
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    return client;
+  }
+
+  RowVec Oracle(const std::string& sql) {
+    sql::SqlSession session(&catalog_, server_->session_options());
+    sql::SqlResult<sql::QueryResult> result = session.Run(sql);
+    EXPECT_TRUE(result.ok());
+    if (!result.ok()) return {};
+    return ToRowVec(result.value().result.rows);
+  }
+
+  sql::Catalog catalog_;
+  std::unique_ptr<server::Server> server_;
+};
 
 // ---------------------------------------------------------------------------
 // A minimal JSON reader -- just enough to round-trip QueryProfile::ToJson

@@ -100,10 +100,10 @@ struct SourceFile {
   std::set<std::string> suppressed;  // rule IDs disabled for this file
 };
 
-/// Failpoint names follow `component.event` (dotted lowercase); this is
-/// what keeps the registry-table parse from matching other tables in
-/// docs/ROBUSTNESS.md.
-bool IsFailpointName(const std::string& s) {
+/// Failpoint, metric, and span names follow `component.event` (dotted
+/// lowercase); this is what keeps the registry-table parse from matching
+/// other tables in the docs.
+bool IsDottedName(const std::string& s) {
   bool dot = false;
   if (s.empty()) return false;
   for (char c : s) {
@@ -115,6 +115,99 @@ bool IsFailpointName(const std::string& s) {
     }
   }
   return dot;
+}
+
+
+/// One representative code site per name.
+using NameSites = std::map<std::string, std::pair<const SourceFile*, int>>;
+
+/// Names passed as the first string literal of a call to any of `macros`
+/// in src/. Macro *definitions* carry no literal and are skipped naturally.
+NameSites MacroNames(const std::vector<SourceFile>& files,
+                     std::initializer_list<const char*> macros) {
+  NameSites used;
+  for (const SourceFile& f : files) {
+    if (!StartsWith(f.rel, "src/")) continue;
+    for (const char* macro : macros) {
+      const std::string needle(macro);
+      for (size_t pos = 0;
+           (pos = f.code.find(needle, pos)) != std::string::npos;
+           pos += needle.size()) {
+        if (!TokenAt(f.code, pos, needle)) continue;
+        const size_t open =
+            f.code.find_first_not_of(" \t\n", pos + needle.size());
+        if (open == std::string::npos || f.code[open] != '(') continue;
+        const std::string arg = BalancedArg(f.code, open);
+        const size_t q1 = arg.find('"');
+        if (q1 == std::string::npos) continue;
+        const size_t q2 = arg.find('"', q1 + 1);
+        if (q2 == std::string::npos) continue;
+        used.insert(
+            {arg.substr(q1 + 1, q2 - q1 - 1), {&f, LineOf(f.code, pos)}});
+      }
+    }
+  }
+  return used;
+}
+
+/// Cross-checks the names `used` in code against the registry tables of
+/// `doc`: rows whose FIRST cell is a backticked dotted name and, when
+/// `kinds` is non-empty, whose SECOND cell names one of them (so other
+/// tables mentioning `x.y` values never false-match). A name used but not
+/// documented is a `used_rule` finding at its site; a row no code uses is
+/// a `stale_rule` finding at its line.
+void SyncRegistry(const std::string& root, const std::string& doc,
+                  const NameSites& used,
+                  std::initializer_list<const char*> kinds,
+                  const std::string& used_rule, const std::string& stale_rule,
+                  const std::string& what, const std::string& sites,
+                  std::vector<Finding>* all) {
+  std::ifstream in(fs::path(root) / doc);
+  if (!in) {
+    if (!used.empty()) {
+      all->push_back({used_rule, doc, 0,
+                      doc + " missing but " + std::to_string(used.size()) +
+                          " " + what + " name(s) are used in src/"});
+    }
+    return;
+  }
+  std::map<std::string, int> documented;
+  std::string line;
+  for (int lineno = 1; std::getline(in, line); ++lineno) {
+    size_t p = line.find_first_not_of(" \t");
+    if (p == std::string::npos || line[p] != '|') continue;
+    const size_t cell_end = line.find('|', p + 1);
+    if (cell_end == std::string::npos) continue;
+    p = line.find('`', p);
+    if (p == std::string::npos || p > cell_end) continue;
+    const size_t q = line.find('`', p + 1);
+    if (q == std::string::npos || q > cell_end) continue;
+    bool kind_ok = kinds.size() == 0;
+    const size_t cell2_end = line.find('|', cell_end + 1);
+    if (cell2_end != std::string::npos) {
+      const std::string kind =
+          Lowered(line.substr(cell_end + 1, cell2_end - cell_end - 1));
+      for (const char* k : kinds) {
+        kind_ok = kind_ok || kind.find(k) != std::string::npos;
+      }
+    }
+    const std::string name = line.substr(p + 1, q - p - 1);
+    if (kind_ok && IsDottedName(name)) documented.insert({name, lineno});
+  }
+  for (const auto& [name, site] : used) {
+    if (documented.count(name) || site.first->suppressed.count(used_rule)) {
+      continue;
+    }
+    all->push_back({used_rule, site.first->rel, site.second,
+                    what + " \"" + name + "\" is not in the " + doc +
+                        " registry tables"});
+  }
+  for (const auto& [name, lineno] : documented) {
+    if (used.count(name)) continue;
+    all->push_back({stale_rule, doc, lineno,
+                    "registry entry \"" + name + "\" has no " + sites +
+                        " site in src/"});
+  }
 }
 
 }  // namespace
@@ -295,7 +388,7 @@ std::vector<Finding> LintTree(const std::string& root) {
                      ") must not include \"" + inc + "\" (layer " +
                      std::to_string(inc_rank) + "); the order is common -> " +
                      "row -> core -> pq -> sort -> exec -> storage -> plan " +
-                     "-> sql");
+                     "-> sql -> server");
         } else if (inc_rank < 0 &&
                    (inc_dir == "tools" || inc_dir == "tests" ||
                     inc_dir == "bench" || inc_dir == "examples")) {
@@ -335,155 +428,55 @@ std::vector<Finding> LintTree(const std::string& root) {
   }
 
   // --- OVC-L004 / OVC-L005: failpoint registry sync ------------------------
-  {
-    // Names used in code, with one representative site each.
-    std::map<std::string, std::pair<const SourceFile*, int>> used;
-    for (const SourceFile& f : files) {
-      if (!StartsWith(f.rel, "src/")) continue;
-      const std::string needle = "OVC_FAILPOINT(\"";
-      for (size_t pos = 0; (pos = f.code.find(needle, pos)) != std::string::npos;
-           pos += needle.size()) {
-        const size_t start = pos + needle.size();
-        const size_t end = f.code.find('"', start);
-        if (end == std::string::npos) break;
-        const std::string name = f.code.substr(start, end - start);
-        if (!used.count(name)) used[name] = {&f, LineOf(f.code, pos)};
-      }
-    }
-    // Names documented in the registry table.
-    const fs::path doc_path = fs::path(root) / "docs" / "ROBUSTNESS.md";
-    std::map<std::string, int> documented;
-    std::ifstream doc(doc_path);
-    if (doc) {
-      std::string line;
-      int lineno = 0;
-      while (std::getline(doc, line)) {
-        ++lineno;
-        // Table rows whose FIRST cell is a backticked dotted name:
-        // | `tempfile.open` | ... |. Later cells are ignored so knob
-        // tables mentioning `x.y` values elsewhere never false-match.
-        size_t p = line.find_first_not_of(" \t");
-        if (p == std::string::npos || line[p] != '|') continue;
-        const size_t cell_end = line.find('|', p + 1);
-        if (cell_end == std::string::npos) continue;
-        p = line.find('`', p);
-        if (p == std::string::npos || p > cell_end) continue;
-        const size_t q = line.find('`', p + 1);
-        if (q == std::string::npos) continue;
-        const std::string name = line.substr(p + 1, q - p - 1);
-        if (IsFailpointName(name) && !documented.count(name)) {
-          documented[name] = lineno;
-        }
-      }
-      for (const auto& [name, site] : used) {
-        if (!documented.count(name)) {
-          if (site.first->suppressed.count("OVC-L004")) continue;
-          all.push_back({"OVC-L004", site.first->rel, site.second,
-                         "failpoint \"" + name +
-                             "\" is not in the docs/ROBUSTNESS.md registry "
-                             "table"});
-        }
-      }
-      for (const auto& [name, lineno] : documented) {
-        if (!used.count(name)) {
-          all.push_back({"OVC-L005", "docs/ROBUSTNESS.md", lineno,
-                         "registry entry \"" + name +
-                             "\" has no OVC_FAILPOINT site in src/"});
-        }
-      }
-    } else if (!used.empty()) {
-      all.push_back({"OVC-L004", "docs/ROBUSTNESS.md", 0,
-                     "docs/ROBUSTNESS.md missing but " +
-                         std::to_string(used.size()) +
-                         " failpoint name(s) are used in src/"});
-    }
-  }
+  SyncRegistry(root, "docs/ROBUSTNESS.md", MacroNames(files, {"OVC_FAILPOINT"}),
+               {}, "OVC-L004", "OVC-L005", "failpoint", "OVC_FAILPOINT", &all);
 
   // --- OVC-L008 / OVC-L009: metric + span registry sync --------------------
   {
-    // Names used in src/: the first string literal inside each metric /
-    // span macro argument list. Macro *definitions* carry no literal and
-    // are skipped naturally.
-    const char* const kObsMacros[] = {"OVC_METRIC_COUNTER", "OVC_METRIC_GAUGE",
-                                      "OVC_METRIC_HISTOGRAM", "OVC_TRACE_SPAN",
-                                      "OVC_TRACE_SPAN_VAR"};
-    std::map<std::string, std::pair<const SourceFile*, int>> used;
+    NameSites used = MacroNames(
+        files, {"OVC_METRIC_COUNTER", "OVC_METRIC_GAUGE",
+                "OVC_METRIC_HISTOGRAM", "OVC_TRACE_SPAN", "OVC_TRACE_SPAN_VAR"});
+    // The counter schema (common/counters.h): each X(field, help) entry in
+    // the body of `#define OVC_QUERY_COUNTERS(X)` declares the metric
+    // `query.<field>` at that entry's line, and must be its only site.
+    const std::string schema_define = "#define OVC_QUERY_COUNTERS(X)";
     for (const SourceFile& f : files) {
       if (!StartsWith(f.rel, "src/")) continue;
-      for (const char* macro : kObsMacros) {
-        const std::string needle(macro);
-        for (size_t pos = 0;
-             (pos = f.code.find(needle, pos)) != std::string::npos;
-             pos += needle.size()) {
-          if (!TokenAt(f.code, pos, needle)) continue;
-          const size_t open = f.code.find_first_not_of(" \t\n", pos + needle.size());
-          if (open == std::string::npos || f.code[open] != '(') continue;
-          const std::string arg = BalancedArg(f.code, open);
-          const size_t q1 = arg.find('"');
-          if (q1 == std::string::npos) continue;  // the #define itself
-          const size_t q2 = arg.find('"', q1 + 1);
-          if (q2 == std::string::npos) continue;
-          const std::string name = arg.substr(q1 + 1, q2 - q1 - 1);
-          if (!used.count(name)) used[name] = {&f, LineOf(f.code, pos)};
+      const size_t define = f.code.find(schema_define);
+      if (define == std::string::npos) continue;
+      // The body ends at the first line without a trailing backslash.
+      size_t body_end = define;
+      do {
+        body_end = f.code.find('\n', body_end + 1);
+      } while (body_end != std::string::npos &&
+               f.code[f.code.find_last_not_of(" \t", body_end - 1)] == '\\');
+      if (body_end == std::string::npos) body_end = f.code.size();
+      for (size_t pos = define + schema_define.size(); pos < body_end; ++pos) {
+        if (!TokenAt(f.code, pos, "X")) continue;
+        const size_t open = f.code.find_first_not_of(" \t", pos + 1);
+        if (open >= body_end || f.code[open] != '(') continue;
+        const std::string arg = BalancedArg(f.code, open);
+        const std::string field = arg.substr(0, arg.find(','));
+        const size_t first = field.find_first_not_of(" \t\\\n");
+        if (first == std::string::npos) continue;
+        const size_t last = field.find_last_not_of(" \t\\\n");
+        const std::string name =
+            "query." + field.substr(first, last - first + 1);
+        const int line = LineOf(f.code, pos);
+        const auto [it, inserted] = used.insert({name, {&f, line}});
+        if (!inserted && !f.suppressed.count("OVC-L008")) {
+          all.push_back({"OVC-L008", f.rel, line,
+                         "counter-schema metric \"" + name +
+                             "\" is also declared at " +
+                             it->second.first->rel + ":" +
+                             std::to_string(it->second.second)});
         }
       }
     }
-    // Names documented in the docs/OBSERVABILITY.md registry tables: rows
-    // whose FIRST cell is a backticked dotted name and whose SECOND cell
-    // names the kind (counter/gauge/histogram/span) -- other tables in the
-    // file (EXPLAIN field glossaries etc.) never carry a kind cell.
-    const fs::path doc_path = fs::path(root) / "docs" / "OBSERVABILITY.md";
-    std::map<std::string, int> documented;
-    std::ifstream doc(doc_path);
-    if (doc) {
-      std::string line;
-      int lineno = 0;
-      while (std::getline(doc, line)) {
-        ++lineno;
-        size_t p = line.find_first_not_of(" \t");
-        if (p == std::string::npos || line[p] != '|') continue;
-        const size_t cell_end = line.find('|', p + 1);
-        if (cell_end == std::string::npos) continue;
-        const size_t cell2_end = line.find('|', cell_end + 1);
-        if (cell2_end == std::string::npos) continue;
-        p = line.find('`', p);
-        if (p == std::string::npos || p > cell_end) continue;
-        const size_t q = line.find('`', p + 1);
-        if (q == std::string::npos || q > cell_end) continue;
-        const std::string name = line.substr(p + 1, q - p - 1);
-        const std::string kind =
-            Lowered(line.substr(cell_end + 1, cell2_end - cell_end - 1));
-        const bool kind_cell = kind.find("counter") != std::string::npos ||
-                               kind.find("gauge") != std::string::npos ||
-                               kind.find("histogram") != std::string::npos ||
-                               kind.find("span") != std::string::npos;
-        if (kind_cell && IsFailpointName(name) && !documented.count(name)) {
-          documented[name] = lineno;
-        }
-      }
-      for (const auto& [name, site] : used) {
-        if (!documented.count(name)) {
-          if (site.first->suppressed.count("OVC-L008")) continue;
-          all.push_back({"OVC-L008", site.first->rel, site.second,
-                         "metric/span \"" + name +
-                             "\" is not in the docs/OBSERVABILITY.md "
-                             "registry tables"});
-        }
-      }
-      for (const auto& [name, lineno] : documented) {
-        if (!used.count(name)) {
-          all.push_back({"OVC-L009", "docs/OBSERVABILITY.md", lineno,
-                         "registry entry \"" + name +
-                             "\" has no OVC_METRIC_* / OVC_TRACE_SPAN site "
-                             "in src/"});
-        }
-      }
-    } else if (!used.empty()) {
-      all.push_back({"OVC-L008", "docs/OBSERVABILITY.md", 0,
-                     "docs/OBSERVABILITY.md missing but " +
-                         std::to_string(used.size()) +
-                         " metric/span name(s) are used in src/"});
-    }
+    SyncRegistry(root, "docs/OBSERVABILITY.md", used,
+                 {"counter", "gauge", "histogram", "span"}, "OVC-L008",
+                 "OVC-L009", "metric/span",
+                 "OVC_METRIC_* / OVC_TRACE_SPAN / OVC_QUERY_COUNTERS", &all);
   }
 
   // --- OVC-L006: include guards -------------------------------------------

@@ -7,8 +7,8 @@
 //
 //   OVC-L001  layer acyclicity from the include graph
 //             (common -> row -> core -> pq -> sort -> exec -> storage ->
-//              plan -> sql; lower layers must not include upper ones, and
-//              src/ must not include tools/, tests/, or bench/)
+//              plan -> sql -> server; lower layers must not include upper
+//              ones, and src/ must not include tools/, tests/, or bench/)
 //   OVC-L002  no OVC_CHECK_OK in src/exec/ + src/sort/ -- recoverable
 //             errors on the degrade path flow through Status, never abort
 //             (docs/ROBUSTNESS.md, PR 7)
@@ -22,9 +22,11 @@
 //   OVC-L007  no bare std::mutex / std::lock_guard / std::condition_variable
 //             in src/ outside common/mutex.h -- shared state must use the
 //             annotated wrappers so -Wthread-safety can check locking
-//   OVC-L008  every metric (OVC_METRIC_COUNTER/GAUGE/HISTOGRAM) and span
+//   OVC-L008  every metric (OVC_METRIC_COUNTER/GAUGE/HISTOGRAM, plus one
+//             `query.<field>` per OVC_QUERY_COUNTERS schema entry) and span
 //             (OVC_TRACE_SPAN[_VAR]) name in src/ appears in the registry
-//             tables of docs/OBSERVABILITY.md
+//             tables of docs/OBSERVABILITY.md, and a schema metric has no
+//             second declaration site
 //   OVC-L009  ...and every documented metric/span name still exists in code
 //
 // Suppression is file-level, must live in a // comment, and must carry

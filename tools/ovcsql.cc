@@ -24,7 +24,7 @@
 // planner; --hash-memory-rows shrinks the hash budget to watch the
 // cost-based planner flip join and aggregation strategies, and
 // --sort-memory-rows bounds the sort workspace the same way (spilled
-// runs beyond it; --memory-rows is the legacy spelling). --fallback
+// runs beyond it). --fallback
 // picks what an overflowing hash operator does mid-query: sort-merge
 // (default; docs/ROBUSTNESS.md) or classic grace partitioning. A CI smoke
 // test pipes tools/smoke.sql through this binary and greps the plans, and
@@ -114,24 +114,30 @@ void PrintTables(const sql::Catalog& catalog) {
   }
 }
 
+bool IsBlank(const std::string& text) {
+  return text.find_first_not_of(" \t\n\r") == std::string::npos;
+}
+
+/// Writes `text` plus a newline to `path`; false (with a message) when the
+/// file cannot be opened.
+bool WriteFile(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
+    return false;
+  }
+  std::fprintf(f, "%s\n", text.c_str());
+  std::fclose(f);
+  return true;
+}
+
 void PrintCounters(const QueryCounters& counters) {
-  // Every QueryCounters field, so .counters, the JSON profile, and the
-  // query.* metrics report the same set field-for-field.
-  std::printf("column comparisons: %llu\ncode comparisons:   %llu\n"
-              "row comparisons:    %llu\nhash computations:  %llu\n"
-              "rows spilled:       %llu\nbytes spilled:      %llu\n"
-              "merge bypass rows:  %llu\nhash join fallbacks: %llu\n"
-              "hash agg fallbacks: %llu\nio retries:         %llu\n",
-              static_cast<unsigned long long>(counters.column_comparisons),
-              static_cast<unsigned long long>(counters.code_comparisons),
-              static_cast<unsigned long long>(counters.row_comparisons),
-              static_cast<unsigned long long>(counters.hash_computations),
-              static_cast<unsigned long long>(counters.rows_spilled),
-              static_cast<unsigned long long>(counters.bytes_spilled),
-              static_cast<unsigned long long>(counters.merge_bypass_rows),
-              static_cast<unsigned long long>(counters.hash_join_fallbacks),
-              static_cast<unsigned long long>(counters.hash_agg_fallbacks),
-              static_cast<unsigned long long>(counters.io_retries));
+  // Every schema field under its schema name, so .counters, the JSON
+  // profile, and the query.* metrics report the same set field-for-field.
+  for (const QueryCounterField& field : kQueryCounterFields) {
+    std::printf("%-20s %llu\n", (std::string(field.name) + ":").c_str(),
+                static_cast<unsigned long long>(counters.*field.member));
+  }
 }
 
 bool RunStatement(sql::SqlSession* session, sql::Catalog* catalog,
@@ -191,10 +197,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--sort-memory-rows=", 19) == 0) {
       options.planner.sort_config.memory_rows =
           std::strtoull(arg + 19, nullptr, 10);
-    } else if (std::strncmp(arg, "--memory-rows=", 14) == 0) {
-      // Legacy spelling of --sort-memory-rows.
-      options.planner.sort_config.memory_rows =
-          std::strtoull(arg + 14, nullptr, 10);
     } else if (std::strncmp(arg, "--hash-memory-rows=", 19) == 0) {
       options.planner.hash_memory_rows =
           std::strtoull(arg + 19, nullptr, 10);
@@ -262,16 +264,8 @@ int main(int argc, char** argv) {
     const size_t comment = line.find("--");
     if (comment != std::string::npos) line.erase(comment);
 
-    bool pending_blank = true;
-    for (char c : pending) {
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') {
-        pending_blank = false;
-        break;
-      }
-    }
-
     // Meta commands act on a whole line, outside any pending statement.
-    if (pending_blank && !line.empty() && line[0] == '.') {
+    if (IsBlank(pending) && !line.empty() && line[0] == '.') {
       pending.clear();
       std::stringstream ss(line);
       std::string cmd;
@@ -305,39 +299,20 @@ int main(int argc, char** argv) {
     while ((semi = pending.find(';')) != std::string::npos) {
       std::string statement = pending.substr(0, semi);
       pending.erase(0, semi + 1);
-      bool blank = true;
-      for (char c : statement) {
-        if (c != ' ' && c != '\t' && c != '\n' && c != '\r') blank = false;
-      }
-      if (!blank && !RunStatement(&session, &catalog, statement, profile_out)) {
+      if (!IsBlank(statement) &&
+          !RunStatement(&session, &catalog, statement, profile_out)) {
         failed = true;
       }
     }
   }
   if (profile_out != nullptr) std::fclose(profile_out);
-  if (!trace_path.empty()) {
-    const std::string json = trace::ExportJson();
-    std::FILE* f = std::fopen(trace_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot open %s for writing\n",
-                   trace_path.c_str());
-      failed = true;
-    } else {
-      std::fprintf(f, "%s\n", json.c_str());
-      std::fclose(f);
-    }
+  if (!trace_path.empty() && !WriteFile(trace_path, trace::ExportJson())) {
+    failed = true;
   }
-  if (!metrics_path.empty()) {
-    std::FILE* f = std::fopen(metrics_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot open %s for writing\n",
-                   metrics_path.c_str());
-      failed = true;
-    } else {
-      std::fprintf(f, "%s\n",
-                   metrics::MetricRegistry::Instance().JsonSnapshot().c_str());
-      std::fclose(f);
-    }
+  if (!metrics_path.empty() &&
+      !WriteFile(metrics_path,
+                 metrics::MetricRegistry::Instance().JsonSnapshot())) {
+    failed = true;
   }
   if (metrics_text) {
     std::printf("%s",
